@@ -134,6 +134,24 @@ publishToCache(const std::string &src, const std::string &dst)
         fs::remove(tmp, ec);
 }
 
+/**
+ * Load the OpenMP runtime once per process and never unload it.  The
+ * host binary may not link libgomp (`--as-needed` drops it from
+ * programs that make no OpenMP call of their own), in which case the
+ * first module's dlopen loads it and that module's dlclose would unmap
+ * it while its parked pool threads, which outlive the module, still
+ * sit inside it.  Best effort: a missing runtime is reported by the
+ * module's own dlopen.
+ */
+void
+pinOpenMPRuntime()
+{
+    static std::once_flag once;
+    std::call_once(once, [] {
+        dlopen("libgomp.so.1", RTLD_NOW | RTLD_GLOBAL | RTLD_NODELETE);
+    });
+}
+
 } // namespace
 
 JitModule
@@ -176,6 +194,9 @@ JitModule::compile(const std::string &source, const JitOptions &opts)
             cache_cpp = cdir + "/" + key + ".cpp";
         }
     }
+
+    if (opts.openmp)
+        pinOpenMPRuntime();
 
     if (!cache_so.empty() && fs::exists(cache_so)) {
         JitModule mod;

@@ -50,6 +50,8 @@ class JitModule
     JitModule &operator=(JitModule &&) noexcept;
     JitModule(const JitModule &) = delete;
     JitModule &operator=(const JitModule &) = delete;
+    /** Unloads the module, but never the OpenMP runtime it may have
+     * brought in: that stays loaded for the rest of the process. */
     ~JitModule();
 
     /** Resolve a symbol; throws InternalError when missing. */

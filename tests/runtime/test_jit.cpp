@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <dlfcn.h>
 #include <filesystem>
 #include <memory>
 #include <optional>
@@ -204,6 +205,45 @@ TEST(Jit, OpenMPAvailableInJitCode)
         "}\n");
     auto fn = reinterpret_cast<int (*)()>(mod.symbol("pm_threads"));
     EXPECT_GE(fn(), 1);
+}
+
+TEST(Jit, OpenMPRuntimeOutlivesModule)
+{
+    // test_runtime makes no OpenMP call of its own, so the first JIT
+    // module is what brings the OpenMP runtime into the process.  Its
+    // pool threads stay parked after the module is destroyed; the
+    // runtime must stay mapped for them.  num_threads(4) starts the
+    // pool even on a single-core host.
+    const auto teamSize = [](const std::string &name) {
+        return "#include <omp.h>\n"
+               "extern \"C\" int " +
+               name +
+               "() {\n"
+               "  int n = 0;\n"
+               "#pragma omp parallel num_threads(4)\n"
+               "  {\n"
+               "#pragma omp single\n"
+               "    n = omp_get_num_threads();\n"
+               "  }\n"
+               "  return n;\n"
+               "}\n";
+    };
+    {
+        JitModule first = JitModule::compile(teamSize("pm_team_first"));
+        auto fn = reinterpret_cast<int (*)()>(
+            first.symbol("pm_team_first"));
+        EXPECT_EQ(fn(), 4);
+    }
+    void *gomp = dlopen("libgomp.so.1", RTLD_NOW | RTLD_NOLOAD);
+    EXPECT_NE(gomp, nullptr)
+        << "the OpenMP runtime was unloaded with the module";
+    if (gomp != nullptr)
+        dlclose(gomp);
+
+    JitModule second = JitModule::compile(teamSize("pm_team_second"));
+    auto fn = reinterpret_cast<int (*)()>(
+        second.symbol("pm_team_second"));
+    EXPECT_EQ(fn(), 4);
 }
 
 } // namespace
